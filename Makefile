@@ -48,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReorderInsert$$' -fuzztime $(FUZZTIME) ./internal/mptcp/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimerWheel$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/sweep/
+	$(GO) test -run '^$$' -fuzz '^FuzzSampleSort$$' -fuzztime $(FUZZTIME) ./internal/stats/
 	for s in $(FUZZ_SCHEDS); do \
 		$(GO) run ./cmd/mptcpfuzz -n 200 -seed 1 -sched $$s || exit 1; \
 	done

@@ -358,6 +358,11 @@ func TestServeJournalGarbageTolerated(t *testing.T) {
 	if n, _ := campaignID(st.ID); n <= 7 {
 		t.Fatalf("fresh submission reused journaled id space: %q", st.ID)
 	}
+	// Let it finish: its journal writes must land before the temp
+	// directory is removed.
+	if fin := waitTerminal(t, ts, st.ID); fin.State != stateDone {
+		t.Fatalf("fresh submission ended %q", fin.State)
+	}
 	var health struct {
 		Journal journalHealth `json:"journal"`
 	}

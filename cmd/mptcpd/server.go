@@ -358,18 +358,25 @@ func (s *server) runCampaign(c *campaignState) {
 			err = s.runExperiment(c)
 		}
 	})
-	switch {
-	case contained != nil:
+	if contained != nil {
 		line, _, _ := strings.Cut(contained.Error(), "\n")
-		c.fail(fmt.Errorf("%s", line))
-	case err != nil:
-		c.fail(err)
-	case c.ctx.Err() != nil:
-		c.setState(stateCancelled)
-	default:
-		c.setState(stateDone)
+		err = fmt.Errorf("%s", line)
 	}
-	s.journal.finish(c.id, c.status().State)
+	state := stateDone
+	switch {
+	case err != nil:
+		state = stateFailed
+	case c.ctx.Err() != nil:
+		state = stateCancelled
+	}
+	// Mark the journal before publishing the terminal state, so a
+	// client that observes it never races the marker write.
+	s.journal.finish(c.id, state)
+	if err != nil {
+		c.fail(err)
+	} else {
+		c.setState(state)
+	}
 }
 
 // experimentKey is the content address of one campaign run: the job

@@ -199,8 +199,10 @@ func main() {
 			speedup = m.BusyTime.Seconds() / m.WallTime.Seconds()
 		}
 		runs := 0
-		for _, e := range m.Export() {
-			runs += e.N + e.Failures
+		for _, row := range m.Rows {
+			for _, c := range row.Cells {
+				runs += c.Times.N() + c.Failures
+			}
 		}
 		var evRate, allocsPerRun float64
 		if m.WallTime > 0 {

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strconv"
+	"sync"
 
 	"mptcplab/internal/stats"
 )
@@ -43,8 +46,11 @@ type CellExport struct {
 	OFOAbove150 float64 `json:"ofo_gt150ms_frac"`
 }
 
-// Export flattens a matrix into one record per cell.
+// Export flattens a matrix into one record per cell. It first sorts
+// every cell's order-statistic samples, so each record — means
+// included — is the same whatever was called on the matrix before.
 func (m *Matrix) Export() []CellExport {
+	m.sortCells()
 	var out []CellExport
 	for _, row := range m.Rows {
 		for i, size := range m.Sizes {
@@ -77,6 +83,43 @@ func (m *Matrix) Export() []CellExport {
 		}
 	}
 	return out
+}
+
+// sortCells sorts the samples Export reads order statistics from —
+// Times, WiFiRTT, CellRTT, OFO — on up to m.Workers goroutines
+// (GOMAXPROCS when unset), largest first, so that no big sample is
+// left to run alone at the end and each worker's pooled scratch grows
+// once. Share, WiFiLoss and CellLoss only feed means and stay in
+// insertion order: the exports pin those sums' bits.
+func (m *Matrix) sortCells() {
+	var samples []*stats.Sample
+	for _, row := range m.Rows {
+		for _, c := range row.Cells {
+			samples = append(samples, c.Times, c.WiFiRTT, c.CellRTT, c.OFO)
+		}
+	}
+	slices.SortFunc(samples, func(a, b *stats.Sample) int { return b.N() - a.N() })
+	workers := m.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, len(samples))
+	next := make(chan *stats.Sample, len(samples))
+	for _, s := range samples {
+		next <- s
+	}
+	close(next)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for s := range next {
+				s.Sort()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // WriteJSON emits the matrix as a JSON array of cell records.

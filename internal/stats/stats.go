@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -38,10 +39,18 @@ func (s *Sample) Add(x float64) {
 	s.sorted = false
 }
 
-// AddAll appends many observations, dropping NaNs like Add.
+// AddAll appends many observations, dropping NaNs like Add. The
+// backing array grows at most once per call.
 func (s *Sample) AddAll(xs []float64) {
+	n := len(s.xs)
+	s.xs = slices.Grow(s.xs, len(xs))
 	for _, x := range xs {
-		s.Add(x)
+		if !math.IsNaN(x) {
+			s.xs = append(s.xs, x)
+		}
+	}
+	if len(s.xs) != n {
+		s.sorted = false
 	}
 }
 
@@ -53,20 +62,37 @@ func (s *Sample) N() int { return len(s.xs) }
 // caller mutating it would silently corrupt every later quantile.
 // Callers that only need order statistics should prefer Quantile.
 func (s *Sample) Values() []float64 {
-	s.sort()
+	s.Sort()
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
 }
 
-func (s *Sample) sort() {
-	if !s.sorted {
-		sort.Float64s(s.xs)
-		s.sorted = true
+// Sort puts the observations in ascending order now rather than at
+// the first order statistic. After Sort, Mean and the other moments
+// sum a canonical array, so their bits no longer depend on which
+// statistics were asked for before. Distinct samples may be sorted
+// concurrently.
+func (s *Sample) Sort() {
+	if s.sorted {
+		return
 	}
+	// The kernel yields the array sort.Float64s would for any NaN-free
+	// input, except that −0 always lands before +0.
+	if len(s.xs) < radixCutoff {
+		sort.Float64s(s.xs)
+	} else {
+		radixSortFloat64s(s.xs)
+	}
+	s.sorted = true
 }
 
-// Mean reports the sample mean (0 for an empty sample).
+// Mean reports the sample mean (0 for an empty sample). It sums the
+// observations in their current array order: insertion order until an
+// order statistic (Min, Max, Quantile, CCDF, Values) or Sort has run,
+// ascending order after. Floating-point addition is not associative,
+// so the two orders can differ in the last bits; call Sort first for
+// a result that does not depend on call history.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return 0
@@ -110,7 +136,7 @@ func (s *Sample) Min() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	s.sort()
+	s.Sort()
 	return s.xs[0]
 }
 
@@ -119,7 +145,7 @@ func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
 		return 0
 	}
-	s.sort()
+	s.Sort()
 	return s.xs[len(s.xs)-1]
 }
 
@@ -130,7 +156,7 @@ func (s *Sample) Quantile(q float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	s.sort()
+	s.Sort()
 	if q <= 0 {
 		return s.xs[0]
 	}
@@ -182,7 +208,7 @@ func (b Box) String() string {
 // CCDF returns the complementary CDF evaluated at each of the given
 // thresholds: P(X > t).
 func (s *Sample) CCDF(thresholds []float64) []float64 {
-	s.sort()
+	s.Sort()
 	out := make([]float64, len(thresholds))
 	n := float64(len(s.xs))
 	if n == 0 {
