@@ -580,6 +580,7 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // one complete 4 MB 2-path MPTCP download per iteration.
 func BenchmarkSingleDownload4MB(b *testing.B) {
 	b.ReportAllocs()
+	var acks, scanned uint64
 	for i := 0; i < b.N; i++ {
 		tb := experiment.NewTestbed(experiment.TestbedConfig{
 			WiFi: pathmodel.ComcastHome(), Cell: pathmodel.ATT(),
@@ -589,12 +590,16 @@ func BenchmarkSingleDownload4MB(b *testing.B) {
 		if !res.Completed {
 			b.Fatal("download failed")
 		}
+		acks += res.AcksRcvd
+		scanned += res.InflightScanned
 	}
+	b.ReportMetric(float64(scanned)/float64(acks), "scanned/ack")
 }
 
 // BenchmarkTCPThroughput exercises the plain TCP fast path.
 func BenchmarkTCPSingle4MB(b *testing.B) {
 	b.ReportAllocs()
+	var acks, scanned uint64
 	for i := 0; i < b.N; i++ {
 		tb := experiment.NewTestbed(experiment.TestbedConfig{
 			WiFi: pathmodel.ComcastHome(), Cell: pathmodel.ATT(),
@@ -604,7 +609,10 @@ func BenchmarkTCPSingle4MB(b *testing.B) {
 		if !res.Completed {
 			b.Fatal("download failed")
 		}
+		acks += res.AcksRcvd
+		scanned += res.InflightScanned
 	}
+	b.ReportMetric(float64(scanned)/float64(acks), "scanned/ack")
 }
 
 // --- Extension: mobility/outage sweep (beyond the paper's §6 text) ---

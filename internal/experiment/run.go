@@ -128,6 +128,12 @@ type RunResult struct {
 	// exported in campaign CSV/JSON (it is a property of the simulator,
 	// not of the modeled network).
 	Events uint64
+	// AcksRcvd and InflightScanned sum the server-side senders' ACKs
+	// received and inflight records scanned (tcp.Stats): the per-ACK
+	// work counter the download benchmarks report. Execution metadata
+	// like Events, and kept out of JSON as well, so neither exports nor
+	// results stored by mptcpd move.
+	AcksRcvd, InflightScanned uint64 `json:"-"`
 
 	// Violations counts protocol-invariant breaches detected when the
 	// run was executed with SelfCheck; FirstViolation describes the
@@ -446,6 +452,8 @@ func (tb *Testbed) attachRTTCollector(ep *tcp.Endpoint, res *RunResult) {
 // result.
 func (tb *Testbed) accountSender(ep *tcp.Endpoint, res *RunResult) {
 	st := &ep.Stats
+	res.AcksRcvd += st.AcksRcvd
+	res.InflightScanned += st.InflightScanned
 	if tb.IsCellIP(ep.Remote) {
 		res.CellBytesSent += st.BytesSent - st.BytesRetrans
 		res.CellDataPkts += st.DataPktsSent

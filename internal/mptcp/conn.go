@@ -118,8 +118,12 @@ func (sf *Subflow) usable() bool {
 }
 
 // mappingFor finds the mapping covering stream offset off, or nil.
+// It scans newest-first because fresh segments look up the mapping
+// just appended. Conn.CheckInvariants enforces that a subflow's
+// mappings are sorted by off and disjoint, so at most one covers off
+// and the scan direction cannot change which one is returned.
 func (sf *Subflow) mappingFor(off int64) *mapping {
-	for i := range sf.mappings {
+	for i := len(sf.mappings) - 1; i >= 0; i-- {
 		m := &sf.mappings[i]
 		if off >= m.off && off < m.off+m.length {
 			return m

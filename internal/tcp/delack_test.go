@@ -29,7 +29,8 @@ func TestDelayedAckFlushTimer(t *testing.T) {
 	tn := newTestNet(t, 50*units.Mbps, 5*sim.Millisecond, 0, 1*units.MB)
 	cfg := DefaultConfig()
 
-	var server *Endpoint
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
 		server = ep
@@ -37,7 +38,7 @@ func TestDelayedAckFlushTimer(t *testing.T) {
 		return true
 	}
 	var ackedAt sim.Time = -1
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.Connect()
 	tn.sim.RunUntil(30 * sim.Millisecond) // established + data delivered
 	if server == nil || server.UnackedBytes() == 0 {

@@ -121,6 +121,11 @@ type Stats struct {
 	Timeouts        uint64
 	FastRetransmits uint64
 	RTTSamples      uint64
+	// InflightScanned counts inflight records visited by the per-ACK
+	// prune, loss-marking and retransmit loops: a deterministic work
+	// counter whose ratio to AcksRcvd shows whether an ACK costs
+	// O(records it changes) or O(window).
+	InflightScanned uint64
 }
 
 // LossRate reports retransmitted data packets over data packets sent,
@@ -132,12 +137,14 @@ func (s *Stats) LossRate() float64 {
 	return float64(s.DataPktsRetrans) / float64(s.DataPktsSent)
 }
 
-// txRec describes one in-flight transmitted range.
+// txRec describes one in-flight transmitted range. An int32 rtx keeps
+// it at 24 bytes rather than 32: less for txBuf to hold and for
+// track's compactions to copy.
 type txRec struct {
 	seq, end uint32
 	sentAt   sim.Time
-	rtx      int  // retransmission count
-	lost     bool // marked lost, awaiting retransmission
+	rtx      int32 // retransmission count
+	lost     bool  // marked lost, awaiting retransmission
 }
 
 // Endpoint is one side of a TCP connection.
@@ -188,7 +195,16 @@ type Endpoint struct {
 	dupAcks       int
 	ltmBonus      int64 // RFC 3042 limited-transmit allowance, bytes
 	board         sackScoreboard
-	inflight      []txRec
+	// inflight holds the transmitted ranges, sorted and disjoint; it is
+	// a window into txBuf that handleNewAck advances past the acked
+	// prefix, and track compacts back to txBuf's start only when
+	// appending would otherwise have to grow it.
+	inflight []txRec
+	txBuf    []txRec
+	// lostBytes is the summed length of inflight records marked lost,
+	// kept exact by markLost, clearLost and the prune in handleNewAck
+	// so pipe() needs no scan. CheckInvariants recomputes it.
+	lostBytes int64
 
 	est      *rttEstimator
 	rtxTimer *sim.Timer
@@ -434,12 +450,7 @@ func (e *Endpoint) cwndBytes() int64 {
 // pipe estimates bytes currently in the network per RFC 6675: in
 // flight, minus SACKed, minus marked-lost-not-yet-retransmitted.
 func (e *Endpoint) pipe() int64 {
-	p := int64(e.sndNxt-e.sndUna) - e.board.TotalSacked()
-	for _, r := range e.inflight {
-		if r.lost {
-			p -= int64(r.end - r.seq)
-		}
-	}
+	p := int64(e.sndNxt-e.sndUna) - e.board.TotalSacked() - e.lostBytes
 	if p < 0 {
 		p = 0
 	}

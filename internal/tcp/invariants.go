@@ -43,9 +43,14 @@ func (e *Endpoint) CheckInvariants() error {
 		return fmt.Errorf("tcp %v: sndNxt %d beyond send buffer end %d", e.Local, e.sndNxt, limit)
 	}
 
-	// In-flight ranges: sorted, disjoint, within (una, nxt].
+	// In-flight ranges: sorted, disjoint, within (una, nxt]. The same
+	// pass recomputes the lost-byte sum pipe() reads from lostBytes.
 	prev := e.sndUna
+	var lost int64
 	for i, r := range e.inflight {
+		if r.lost {
+			lost += int64(r.end - r.seq)
+		}
 		if !seg.SeqLT(r.seq, r.end) {
 			return fmt.Errorf("tcp %v: inflight[%d] empty [%d,%d)", e.Local, i, r.seq, r.end)
 		}
@@ -56,6 +61,9 @@ func (e *Endpoint) CheckInvariants() error {
 			return fmt.Errorf("tcp %v: inflight[%d] end %d beyond sndNxt %d", e.Local, i, r.end, e.sndNxt)
 		}
 		prev = r.end
+	}
+	if lost != e.lostBytes {
+		return fmt.Errorf("tcp %v: lostBytes %d, but lost records sum to %d", e.Local, e.lostBytes, lost)
 	}
 
 	// SACK scoreboard: sorted, disjoint, above una, at or below nxt.

@@ -18,7 +18,8 @@ func TestLimitedTransmitAvoidsRTO(t *testing.T) {
 	cfg.InitialCwnd = 4 // small window: exactly the RFC 3042 scenario
 	cfg.DelAckCount = 1 // ack every segment to keep the count simple
 
-	var server *Endpoint
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
 	size := 64 * units.KB
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
@@ -27,7 +28,7 @@ func TestLimitedTransmitAvoidsRTO(t *testing.T) {
 		return true
 	}
 	var rcvd int
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.OnDeliver = func(n int) { rcvd += n }
 	client.Connect()
 

@@ -81,19 +81,18 @@ func (e *Endpoint) completeHandshake(s *seg.Segment) {
 				e.OnRTTSample(rtt)
 			}
 		}
+		e.clearLost(&e.inflight[0])
 		e.inflight = e.inflight[1:]
 	}
 	e.sndUna = e.iss + 1
 	e.updatePeerWindow(s)
 	e.rtxTimer.Stop()
-	wasSynSent := e.state == StateSynSent
 	e.state = StateEstablished
 	e.HandshakeDone = e.sim.Now()
 	// If Close raced the handshake, continue teardown.
 	if e.finQueued {
 		e.state = StateFinWait1
 	}
-	_ = wasSynSent
 	if e.OnEstablished != nil {
 		e.OnEstablished()
 	}
@@ -193,27 +192,34 @@ func (e *Endpoint) handleNewAck(ack uint32) {
 	e.consecRTO = 0
 	e.ackedSinceLoss += acked
 
-	// Prune transmission records; take Karn-valid RTT samples.
-	keep := e.inflight[:0]
-	for i := range e.inflight {
-		r := e.inflight[i]
-		if seg.SeqLEQ(r.end, ack) {
-			if r.rtx == 0 {
-				rtt := e.sim.Now() - r.sentAt
-				e.est.Sample(rtt)
-				e.Stats.RTTSamples++
-				if e.OnRTTSample != nil {
-					e.OnRTTSample(rtt)
+	// Prune transmission records; take Karn-valid RTT samples. Records
+	// are sorted and disjoint (CheckInvariants), so the fully acked
+	// ones form a prefix and only the first survivor can be partially
+	// acked: the walk stops there and the prefix is sliced off.
+	k := 0
+	for ; k < len(e.inflight); k++ {
+		e.Stats.InflightScanned++
+		r := &e.inflight[k]
+		if seg.SeqLT(ack, r.end) {
+			if seg.SeqLT(r.seq, ack) {
+				if r.lost {
+					e.lostBytes -= int64(ack - r.seq)
 				}
+				r.seq = ack // partially acked range
 			}
-			continue
+			break
 		}
-		if seg.SeqLT(r.seq, ack) {
-			r.seq = ack // partially acked range
+		e.clearLost(r)
+		if r.rtx == 0 {
+			rtt := e.sim.Now() - r.sentAt
+			e.est.Sample(rtt)
+			e.Stats.RTTSamples++
+			if e.OnRTTSample != nil {
+				e.OnRTTSample(rtt)
+			}
 		}
-		keep = append(keep, r)
 	}
-	e.inflight = keep
+	e.inflight = e.inflight[k:]
 
 	if e.inRecovery {
 		if seg.SeqGEQ(ack, e.recoveryPoint) {
@@ -294,23 +300,29 @@ func (e *Endpoint) enterRecovery() {
 }
 
 // markFirstHoleLost marks the range at sndUna for retransmission.
+// Records are sorted, disjoint and start at or above sndUna, so only
+// the first can begin at it.
 func (e *Endpoint) markFirstHoleLost() {
-	for i := range e.inflight {
-		r := &e.inflight[i]
-		if r.seq == e.sndUna && !e.board.IsSacked(r.seq, r.end) {
-			if r.rtx == 0 || !e.inRecovery {
-				r.lost = true
-			}
-			return
+	if len(e.inflight) == 0 {
+		return
+	}
+	e.Stats.InflightScanned++
+	r := &e.inflight[0]
+	if r.seq == e.sndUna && !e.board.IsSacked(r.seq, r.end) {
+		if r.rtx == 0 || !e.inRecovery {
+			e.markLost(r)
 		}
 	}
 }
 
 // markSackHolesLost applies the RFC 6675 loss heuristic: a hole with
-// at least 3*MSS SACKed above it is lost.
+// at least 3*MSS SACKed above it is lost. SACKed bytes above a record
+// only shrink as records ascend, so the walk stops at the first record
+// that falls short.
 func (e *Endpoint) markSackHolesLost() {
 	thresh := 3 * int64(e.cfg.MSS)
 	for i := range e.inflight {
+		e.Stats.InflightScanned++
 		r := &e.inflight[i]
 		if r.lost || r.rtx > 0 {
 			continue
@@ -318,9 +330,10 @@ func (e *Endpoint) markSackHolesLost() {
 		if e.board.IsSacked(r.seq, r.end) {
 			continue
 		}
-		if e.board.SackedAbove(r.end) >= thresh {
-			r.lost = true
+		if e.board.SackedAbove(r.end) < thresh {
+			return
 		}
+		e.markLost(r)
 	}
 }
 

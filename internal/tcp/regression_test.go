@@ -18,13 +18,16 @@ func TestLoneSegmentLossRecovers(t *testing.T) {
 	cfg := DefaultConfig()
 
 	var serverGot int
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
+		server = ep
 		ep.OnDeliver = func(n int) { serverGot += n }
 		return true
 	}
 
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.OnEstablished = func() { client.Write(160) }
 	client.Connect()
 

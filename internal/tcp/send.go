@@ -73,9 +73,42 @@ func (e *Endpoint) sendSYN(isAck bool) {
 }
 
 // track records a transmission range for RTT sampling, loss marking,
-// and retransmission.
+// and retransmission. Once the window reaches the end of txBuf, the
+// live records move back to its start if that leaves room for at
+// least a quarter as many again; otherwise append grows the buffer,
+// by at least that quarter. A compaction of n records is thus followed
+// by n/4 free appends, so each append costs O(1) amortized copies
+// while handleNewAck drops the acked prefix for free.
 func (e *Endpoint) track(seqn, end uint32) {
-	e.inflight = append(e.inflight, txRec{seq: seqn, end: end, sentAt: e.sim.Now()})
+	rec := txRec{seq: seqn, end: end, sentAt: e.sim.Now()}
+	n := len(e.inflight)
+	if n < cap(e.inflight) {
+		e.inflight = append(e.inflight, rec)
+		return
+	}
+	if room := cap(e.txBuf) - n; room > 0 && 4*room >= n {
+		e.inflight = append(e.txBuf[:copy(e.txBuf[:n], e.inflight)], rec)
+		return
+	}
+	e.inflight = append(e.inflight, rec)
+	e.txBuf = e.inflight
+}
+
+// markLost flags r for retransmission, counting its bytes into
+// lostBytes once however often it is marked.
+func (e *Endpoint) markLost(r *txRec) {
+	if !r.lost {
+		r.lost = true
+		e.lostBytes += int64(r.end - r.seq)
+	}
+}
+
+// clearLost unflags r, returning its bytes from lostBytes.
+func (e *Endpoint) clearLost(r *txRec) {
+	if r.lost {
+		r.lost = false
+		e.lostBytes -= int64(r.end - r.seq)
+	}
 }
 
 // trySend pushes as much data as the windows allow, plus the FIN when
@@ -178,9 +211,14 @@ func (e *Endpoint) emitData(seqn uint32, n int, isRtx bool) {
 // for the head of the window, which must always be retransmittable:
 // after an RTO the pipe estimate still counts the (presumed-in-flight)
 // rest of the window, and gating the head on it would deadlock.
+//
+// Every lost record the walk passes is either cleared or ends it, so
+// lostBytes always counts just the records still ahead: the walk stops
+// as soon as it reaches zero, and costs nothing when nothing is lost.
 func (e *Endpoint) retransmitLost() {
 	wnd := e.cwndBytes()
-	for i := range e.inflight {
+	for i := 0; i < len(e.inflight) && e.lostBytes > 0; i++ {
+		e.Stats.InflightScanned++
 		r := &e.inflight[i]
 		if !r.lost {
 			continue
@@ -188,11 +226,10 @@ func (e *Endpoint) retransmitLost() {
 		if r.seq != e.sndUna && e.pipe() >= wnd {
 			return
 		}
+		e.clearLost(r)
 		if e.board.IsSacked(r.seq, r.end) {
-			r.lost = false
 			continue
 		}
-		r.lost = false
 		r.rtx++
 		r.sentAt = e.sim.Now()
 		if r.end == r.seq+1 && (r.seq == e.finSeq) {
@@ -295,10 +332,11 @@ func (e *Endpoint) onRTO() {
 	// per (Karn-backed-off) timeout. If the timeout was spurious (a
 	// delay spike, common on 3G paths), the late ACK covers the whole
 	// flight, prunes these records, and nothing is resent.
+	e.Stats.InflightScanned += uint64(len(e.inflight))
 	for i := range e.inflight {
 		r := &e.inflight[i]
 		if !e.board.IsSacked(r.seq, r.end) {
-			r.lost = true
+			e.markLost(r)
 		}
 	}
 	e.rtxTimer.Reset(e.est.RTO())

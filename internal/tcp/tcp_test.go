@@ -48,12 +48,34 @@ func newTestNet(t testing.TB, rate units.BitRate, prop sim.Time, loss float64, q
 		up: up, down: down, cAddr: cAddr, sAddr: sAddr, rng: rng}
 }
 
-// runDownload performs a server->client transfer of size bytes and
-// returns (client endpoint, server endpoint, completion time).
+// armChecker runs CheckInvariants on the given endpoints after every
+// simulator event and fails the test at the first violation, so every
+// cached value (lostBytes among them) is cross-checked against a full
+// recomputation throughout the run. Endpoints are passed by address so
+// that one created mid-run, like a listener's accepted endpoint, is
+// checked from the moment it exists.
+func (tn *testNet) armChecker(t testing.TB, eps ...**Endpoint) {
+	tn.sim.SetWatchdog(1, func() error {
+		for _, ep := range eps {
+			if *ep == nil {
+				continue
+			}
+			if err := (*ep).CheckInvariants(); err != nil {
+				t.Fatalf("at %v: %v", tn.sim.Now(), err)
+			}
+		}
+		return nil
+	})
+}
+
+// runDownload performs a server->client transfer of size bytes with
+// the invariant checker armed and returns (client endpoint, server
+// endpoint, completion time).
 func (tn *testNet) runDownload(t testing.TB, size int, cfg Config) (*Endpoint, *Endpoint, sim.Time) {
 	t.Helper()
-	var serverEP *Endpoint
+	var serverEP, client *Endpoint
 	var rcvd int
+	tn.armChecker(t, &client, &serverEP)
 	var done sim.Time = -1
 
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
@@ -66,7 +88,7 @@ func (tn *testNet) runDownload(t testing.TB, size int, cfg Config) (*Endpoint, *
 		return true
 	}
 
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.OnDeliver = func(n int) {
 		rcvd += n
 		if rcvd >= size && done < 0 {
@@ -132,11 +154,14 @@ func TestRTTInflationFromBufferbloat(t *testing.T) {
 	tn := newTestNet(t, 8*units.Mbps, 30*sim.Millisecond, 0, 2*units.MB)
 	var maxRTT sim.Time
 	cfg := DefaultConfig()
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
 	var size = 8 * units.MB
 	var rcvd int
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
+		server = ep
 		ep.OnRTTSample = func(rtt sim.Time) {
 			if rtt > maxRTT {
 				maxRTT = rtt
@@ -145,7 +170,7 @@ func TestRTTInflationFromBufferbloat(t *testing.T) {
 		ep.OnEstablished = func() { ep.Write(size); ep.Close() }
 		return true
 	}
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.OnDeliver = func(n int) { rcvd += n }
 	client.Connect()
 	tn.sim.RunUntil(5 * 60 * sim.Second)
@@ -187,14 +212,15 @@ func TestRTOAfterTotalBlackout(t *testing.T) {
 	tn := newTestNet(t, 10*units.Mbps, 10*sim.Millisecond, 0, 1*units.MB)
 	cfg := DefaultConfig()
 
-	var server *Endpoint
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
 		server = ep
 		ep.OnEstablished = func() { ep.Write(4 * units.MB) }
 		return true
 	}
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.Connect()
 	tn.sim.RunUntil(60 * sim.Millisecond)
 	// Blackout.
@@ -216,7 +242,8 @@ func TestRTTSamplesExcludeRetransmits(t *testing.T) {
 	cfg := DefaultConfig()
 	samples := 0
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
-	var server *Endpoint
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 	size := 1 * units.MB
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
 		server = ep
@@ -230,7 +257,7 @@ func TestRTTSamplesExcludeRetransmits(t *testing.T) {
 		return true
 	}
 	var rcvd int
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.OnDeliver = func(n int) { rcvd += n }
 	client.Connect()
 	tn.sim.RunUntil(5 * 60 * sim.Second)

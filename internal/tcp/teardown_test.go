@@ -15,13 +15,14 @@ func TestSimultaneousClose(t *testing.T) {
 	tn := newTestNet(t, 100*units.Mbps, 5*sim.Millisecond, 0, 1*units.MB)
 	cfg := DefaultConfig()
 
-	var server *Endpoint
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
 		server = ep
 		return true
 	}
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.Connect()
 	tn.sim.RunUntil(100 * sim.Millisecond)
 	if server == nil || client.State() != StateEstablished {
@@ -45,7 +46,8 @@ func TestAbortResetsPeer(t *testing.T) {
 	tn := newTestNet(t, 100*units.Mbps, 5*sim.Millisecond, 0, 1*units.MB)
 	cfg := DefaultConfig()
 
-	var server *Endpoint
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 	peerClosed := false
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
@@ -54,7 +56,7 @@ func TestAbortResetsPeer(t *testing.T) {
 		ep.OnEstablished = func() { ep.Write(1 * units.MB) }
 		return true
 	}
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.Connect()
 	tn.sim.RunUntil(50 * sim.Millisecond)
 
@@ -91,6 +93,8 @@ func TestSegmentLimitHonored(t *testing.T) {
 	cfg := DefaultConfig()
 
 	var sizes []int
+	var server, client *Endpoint
+	tn.armChecker(t, &client, &server)
 	tn.server.AddTap(func(dir netem.Direction, at sim.Time, s *seg.Segment) {
 		if dir == netem.Egress && s.PayloadLen > 0 {
 			sizes = append(sizes, s.PayloadLen)
@@ -99,6 +103,7 @@ func TestSegmentLimitHonored(t *testing.T) {
 
 	lis := Listen(tn.server, tn.net, tn.sAddr.Port, cfg, tn.rng.Child("server"))
 	lis.OnAccept = func(ep *Endpoint, syn *seg.Segment) bool {
+		server = ep
 		// Cap every segment at 512 bytes via the hook.
 		ep.SegmentLimit = func(off int64, n int) int {
 			if n > 512 {
@@ -110,7 +115,7 @@ func TestSegmentLimitHonored(t *testing.T) {
 		return true
 	}
 	var rcvd int
-	client := NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
+	client = NewEndpoint(tn.client, tn.net, tn.cAddr, tn.sAddr, cfg, tn.rng.Child("client"))
 	client.OnDeliver = func(n int) { rcvd += n }
 	client.Connect()
 	tn.sim.RunUntil(5 * sim.Second)
