@@ -47,6 +47,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegDecode$$' -fuzztime $(FUZZTIME) ./internal/seg/
 	$(GO) test -run '^$$' -fuzz '^FuzzReorderInsert$$' -fuzztime $(FUZZTIME) ./internal/mptcp/
 	$(GO) test -run '^$$' -fuzz '^FuzzTimerWheel$$' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz '^FuzzLazySource$$' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreOpen$$' -fuzztime $(FUZZTIME) ./internal/sweep/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleSort$$' -fuzztime $(FUZZTIME) ./internal/stats/
 	for s in $(FUZZ_SCHEDS); do \

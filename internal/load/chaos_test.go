@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mptcplab/internal/chaos"
+	"mptcplab/internal/seg"
 	"mptcplab/internal/sim"
 )
 
@@ -170,6 +171,58 @@ func TestChaosSweepWorkerInvariance(t *testing.T) {
 		if !strings.Contains(e.Replay, "chaos="+e.Schedule) {
 			t.Fatalf("replay token %q does not embed the chaos spec", e.Replay)
 		}
+	}
+}
+
+// TestLiveFlowsIdOrdered is a white-box check of the live-flow list
+// that every walk over the fleet (chaos hooks, path-rate telemetry,
+// run close-out) goes through: throughout a chaos run with many starts
+// and releases, it holds exactly the started, not yet completed flows,
+// each still routed, in strictly increasing id order.
+func TestLiveFlowsIdOrdered(t *testing.T) {
+	cfg := chaosConfig()
+	cfg.Drain = 2 * sim.Second // end with flows still in flight
+	checks := 0
+	check := func(f *fleet) {
+		checks++
+		for i, fl := range f.live {
+			if i > 0 && f.live[i-1].id >= fl.id {
+				t.Fatalf("at %v: live ids %d, %d out of order", f.s.Now(), f.live[i-1].id, fl.id)
+			}
+			var local seg.Addr
+			switch {
+			case fl.clientEP != nil:
+				local = fl.clientEP.Local
+			case fl.clientConn != nil && len(fl.clientConn.Subflows()) > 0:
+				local = fl.clientConn.Subflows()[0].EP.Local
+			default:
+				continue
+			}
+			if f.byClientAddr[local] != fl {
+				t.Fatalf("at %v: live flow %d is not routed", f.s.Now(), fl.id)
+			}
+		}
+		if want := f.res.Started - f.res.Completed; len(f.live) != want {
+			t.Fatalf("at %v: %d live flows, want started %d - completed %d",
+				f.s.Now(), len(f.live), f.res.Started, f.res.Completed)
+		}
+	}
+	sabotage(t, cfg.Seed, func(f *fleet) {
+		var tick func()
+		tick = func() {
+			check(f)
+			f.s.After(100*sim.Millisecond, "test.live", tick)
+		}
+		f.s.After(0, "test.live", tick)
+	})
+	res, f := runFleet(cfg)
+	check(f)
+	if res.Completed < 20 || res.Incomplete == 0 || checks < 100 {
+		t.Fatalf("run too tame to test: %d completed, %d incomplete, %d checks",
+			res.Completed, res.Incomplete, checks)
+	}
+	if len(f.live) != res.Incomplete {
+		t.Fatalf("%d live flows at the end, %d incomplete", len(f.live), res.Incomplete)
 	}
 }
 

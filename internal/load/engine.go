@@ -2,6 +2,7 @@ package load
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -159,7 +160,13 @@ type fleet struct {
 	// byClientAddr routes server-side accepts back to the flow that
 	// dialed: keyed by the client's first-subflow local address.
 	byClientAddr map[seg.Addr]*flow
-	active       map[int]*flow
+
+	// live holds the active flows in id order: ids are handed out
+	// increasing, so startFlow appends and release cuts one out.
+	// Every walk over the live fleet goes through it, so each is a pure
+	// function of the seed. scratch backs sortedActive's snapshots.
+	live    []*flow
+	scratch []*flow
 }
 
 // Run executes one fleet workload and returns its streaming-stats
@@ -198,7 +205,6 @@ func runFleetIn(a *Arena, cfg Config) (*Result, *fleet) {
 		arrivals:     rng.Child("arrivals"),
 		flowRNG:      rng.Child("flows"),
 		byClientAddr: make(map[seg.Addr]*flow),
-		active:       make(map[int]*flow),
 	}
 	f.buildStackConfigs()
 
@@ -353,7 +359,7 @@ func (f *fleet) startFlow(session int) {
 		session:   session,
 		client:    client,
 	}
-	f.active[id] = fl
+	f.live = append(f.live, fl)
 	f.res.Started++
 
 	wifiAddr, cellAddr := client.addrs()
@@ -419,7 +425,8 @@ func (f *fleet) complete(fl *flow) {
 
 // release forgets a flow's routing and lifecycle entries.
 func (f *fleet) release(fl *flow) {
-	delete(f.active, fl.id)
+	i := sort.Search(len(f.live), func(i int) bool { return f.live[i].id >= fl.id })
+	f.live = slices.Delete(f.live, i, i+1)
 	if fl.clientEP != nil {
 		delete(f.byClientAddr, fl.clientEP.Local)
 	}
@@ -428,20 +435,13 @@ func (f *fleet) release(fl *flow) {
 	}
 }
 
-// sortedActive lists the live flows in id order — storm hooks iterate
-// it instead of the active map so address withdrawal order (and hence
-// the whole run) is deterministic.
+// sortedActive snapshots the live flows in id order for the storm
+// hooks: a flow released while a hook walks the fleet is still
+// visited. The snapshot reuses one buffer, so it is valid only until
+// the next call; the hooks run from separate events and never nest.
 func (f *fleet) sortedActive() []*flow {
-	ids := make([]int, 0, len(f.active))
-	for id := range f.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	out := make([]*flow, len(ids))
-	for i, id := range ids {
-		out[i] = f.active[id]
-	}
-	return out
+	f.scratch = append(f.scratch[:0], f.live...)
+	return f.scratch
 }
 
 // pathRates sums the live fleet's instantaneous per-subflow delivery
@@ -451,7 +451,7 @@ func (f *fleet) sortedActive() []*flow {
 // addition is order-sensitive, and the report must stay a pure
 // function of the seed.
 func (f *fleet) pathRates() (wifi, cell float64) {
-	for _, fl := range f.sortedActive() {
+	for _, fl := range f.live {
 		c := fl.serverConn
 		if c == nil {
 			continue
@@ -531,9 +531,11 @@ func (f *fleet) hasLive(c *mptcp.Conn, cell bool) bool {
 }
 
 // finish closes out the run: account still-active flows as
-// incomplete, fold link and checker state into the result.
+// incomplete, in id order so the checker's violations are reported in
+// a seed-determined order, and fold link and checker state into the
+// result.
 func (f *fleet) finish() {
-	for _, fl := range f.active {
+	for _, fl := range f.live {
 		f.res.absorbIncomplete(f.topo, fl)
 		if f.ck != nil && fl.serverConn != nil && fl.clientConn != nil {
 			f.ck.CheckTransfer(fmt.Sprintf("flow-%d", fl.id), fl.serverConn, fl.clientConn, false)

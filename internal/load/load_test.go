@@ -50,9 +50,9 @@ func TestFleetSmokeCompletes(t *testing.T) {
 	}
 	// Completed flows must be fully released: live memory is O(active
 	// flows), and after a full drain nothing should remain.
-	if res.Incomplete == 0 && (len(f.active) != 0 || len(f.byClientAddr) != 0) {
+	if res.Incomplete == 0 && (len(f.live) != 0 || len(f.byClientAddr) != 0) {
 		t.Fatalf("engine retained %d active / %d addr entries after full drain",
-			len(f.active), len(f.byClientAddr))
+			len(f.live), len(f.byClientAddr))
 	}
 }
 
@@ -162,9 +162,9 @@ func TestFleetStatsMemoryBounded(t *testing.T) {
 			t.Fatalf("histogram bins %v, want %d regardless of flow count", pair, fctBins)
 		}
 	}
-	// Lifecycle maps must not accumulate completed flows.
-	if n := len(fs.active) + len(fb.active); n != rs.Incomplete+rb.Incomplete {
-		t.Fatalf("active maps hold %d entries, want %d (the incomplete flows)",
+	// Lifecycle lists must not accumulate completed flows.
+	if n := len(fs.live) + len(fb.live); n != rs.Incomplete+rb.Incomplete {
+		t.Fatalf("live lists hold %d entries, want %d (the incomplete flows)",
 			n, rs.Incomplete+rb.Incomplete)
 	}
 	_ = runtime.NumGoroutine // keep runtime imported alongside alloc test below

@@ -6,14 +6,13 @@ import (
 	"unsafe"
 )
 
-// Fast-seeding source, bit-identical to math/rand.
+// Fast-seeding, lazily materialized source, bit-identical to math/rand.
 //
-// Every testbed or fleet build derives a handful of labeled child
-// streams (per link, per flow), and math/rand's generator pays ~1900
-// Schrage-division LCG steps per Seed — it dominated world-building
-// profiles once the event loop itself stopped allocating. The RNG
-// streams, however, are frozen: golden export fixtures pin every draw,
-// so the generator cannot change, only the cost of seeding it.
+// Every testbed or fleet build derives labeled child streams per run,
+// link, flow, endpoint and connection, and math/rand's generator pays
+// ~1900 Schrage-division LCG steps and a 4.9 KB register per Seed. The
+// RNG streams, however, are frozen: golden export fixtures pin every
+// draw, so the generator cannot change, only the cost of seeding it.
 //
 // lfSource therefore reimplements the same additive lagged-Fibonacci
 // generator (length 607, tap 273) with the seeding LCG's modulus
@@ -26,6 +25,15 @@ import (
 // a self-check then replays several seeds against math/rand; if layout
 // or output ever disagrees, lfFastOK stays false and NewRNG falls back
 // to the stock source — slower, never wrong.
+//
+// Most streams draw a handful of values or none, so the register is
+// built only when a stream keeps drawing. Draw k (1-based) returns
+// vec[334−k] + vec[607−k] and writes the sum back to vec[334−k]; for
+// k ≤ lfTap neither slot has been written yet, so the draw is the sum
+// of two freshly seeded slots, and a slot costs one jump multiply
+// (lfSlotJump) plus its three LCG steps. The first lfLazyMax draws are
+// served that way; the next one allocates the register, fills it, and
+// replays them.
 
 const (
 	lfLen    = 607
@@ -34,16 +42,27 @@ const (
 	lfSeedA  = 48271     // its multiplier (MINSTD, as in math/rand)
 	lfSeed0  = 89482311  // replacement for the degenerate zero seed
 	lfWarmup = 20        // LCG steps discarded before filling the state
+
+	// lfLazyMax is how many draws a source serves from the seeding LCG
+	// before it builds the register. A lazy draw costs two slot
+	// computations against one add for a built register, so past a few
+	// dozen draws the register pays for itself (DESIGN.md §17).
+	lfLazyMax = 32
 )
+
+// A lazy draw reads two pristine slots only while k ≤ lfTap; this
+// array's length goes negative, failing the build, if lfLazyMax > lfTap.
+var _ [lfTap - lfLazyMax]struct{}
 
 var (
 	lfCooked [lfLen]int64
 	lfFastOK bool
 
-	// lfJump[k] = A^(warmup + 3·base)  mod M for chain k's base slot:
-	// the one-multiply jump that positions each of Seed's four
-	// interleaved LCG chains (computed once in init).
-	lfJump [4]uint64
+	// lfSlotJump[i] = A^(warmup + 3·i) mod M: the one-multiply jump
+	// from the seed to the LCG state just before slot i's three terms,
+	// for a lazy draw's slots and for the start of each of fill's four
+	// chains (computed once in init).
+	lfSlotJump [lfLen]uint64
 )
 
 // lfChainBase splits the 607 slots into four near-equal runs; the last
@@ -72,9 +91,32 @@ func lfSeedrand(x int32) int32 {
 	return int32(v)
 }
 
-// lfSource is the lagged-Fibonacci state: vec[feed] += vec[tap], with
-// both cursors walking backwards through the register.
+// lfSlot returns register slot i as fill computes it: the three LCG
+// steps after A^(warmup + 3·i)·seed, packed and XORed with the cooked
+// constant. seed must already be reduced as lfSource.Seed reduces it.
+func lfSlot(seed uint64, i int) int64 {
+	x := int32(lfModmul(seed, lfSlotJump[i]))
+	x = lfSeedrand(x)
+	u := int64(x) << 40
+	x = lfSeedrand(x)
+	u ^= int64(x) << 20
+	x = lfSeedrand(x)
+	u ^= int64(x)
+	return u ^ lfCooked[i]
+}
+
+// lfSource is the lagged-Fibonacci generator, lazy until its
+// (lfLazyMax+1)-th draw after a Seed.
 type lfSource struct {
+	seed int64 // reduced into [1, lfMax)
+	lazy int   // draws served lazily since the last Seed
+	full bool  // reg holds this seed's state and serves every draw
+	reg  *lfRegister
+}
+
+// lfRegister is the materialized state: vec[feed] += vec[tap], with
+// both cursors walking backwards through the register.
+type lfRegister struct {
 	vec       [lfLen]int64
 	tap, feed int
 }
@@ -85,16 +127,9 @@ func newLFSource(seed int64) *lfSource {
 	return s
 }
 
-// Seed fills the register exactly as math/rand does: a warmed-up LCG
-// contributes three terms per slot, XORed with the cooked table. The
-// nominal computation is one 1841-step serial recurrence; because the
-// LCG jumps in one modular multiply (x after n more steps is A^n·x mod
-// M), Seed instead positions four chains at precomputed offsets and
-// advances them interleaved, so the multiplies of independent chains
-// pipeline instead of serializing on one dependency chain.
+// Seed resets the source to lazy mode. A register built for an earlier
+// seed is kept for reuse.
 func (s *lfSource) Seed(seed int64) {
-	s.tap = 0
-	s.feed = lfLen - lfTap
 	seed %= lfMax
 	if seed < 0 {
 		seed += lfMax
@@ -102,10 +137,24 @@ func (s *lfSource) Seed(seed int64) {
 	if seed == 0 {
 		seed = lfSeed0
 	}
-	x0 := int32(lfModmul(uint64(seed), lfJump[0]))
-	x1 := int32(lfModmul(uint64(seed), lfJump[1]))
-	x2 := int32(lfModmul(uint64(seed), lfJump[2]))
-	x3 := int32(lfModmul(uint64(seed), lfJump[3]))
+	s.seed, s.lazy, s.full = seed, 0, false
+}
+
+// fill seeds the register exactly as math/rand does: a warmed-up LCG
+// contributes three terms per slot, XORed with the cooked table. The
+// nominal computation is one 1841-step serial recurrence; because the
+// LCG jumps in one modular multiply (x after n more steps is A^n·x mod
+// M), fill instead positions four chains at precomputed offsets and
+// advances them interleaved, so the multiplies of independent chains
+// pipeline instead of serializing on one dependency chain. seed must
+// already be reduced as lfSource.Seed reduces it.
+func (r *lfRegister) fill(seed int64) {
+	r.tap = 0
+	r.feed = lfLen - lfTap
+	x0 := int32(lfModmul(uint64(seed), lfSlotJump[lfChainBase[0]]))
+	x1 := int32(lfModmul(uint64(seed), lfSlotJump[lfChainBase[1]]))
+	x2 := int32(lfModmul(uint64(seed), lfSlotJump[lfChainBase[2]]))
+	x3 := int32(lfModmul(uint64(seed), lfSlotJump[lfChainBase[3]]))
 	fill := func(x int32, i int) (int32, int) {
 		x = lfSeedrand(x)
 		u := int64(x) << 40
@@ -113,7 +162,7 @@ func (s *lfSource) Seed(seed int64) {
 		u ^= int64(x) << 20
 		x = lfSeedrand(x)
 		u ^= int64(x)
-		s.vec[i] = u ^ lfCooked[i]
+		r.vec[i] = u ^ lfCooked[i]
 		return x, i + 1
 	}
 	i0, i1, i2, i3 := lfChainBase[0], lfChainBase[1], lfChainBase[2], lfChainBase[3]
@@ -134,47 +183,67 @@ func (s *lfSource) Seed(seed int64) {
 	}
 }
 
-func (s *lfSource) Uint64() uint64 {
-	s.tap--
-	if s.tap < 0 {
-		s.tap += lfLen
+func (r *lfRegister) next() uint64 {
+	r.tap--
+	if r.tap < 0 {
+		r.tap += lfLen
 	}
-	s.feed--
-	if s.feed < 0 {
-		s.feed += lfLen
+	r.feed--
+	if r.feed < 0 {
+		r.feed += lfLen
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
 	return uint64(x)
+}
+
+func (s *lfSource) Uint64() uint64 {
+	if s.full {
+		return s.reg.next()
+	}
+	if s.lazy < lfLazyMax {
+		s.lazy++
+		k := s.lazy
+		seed := uint64(s.seed)
+		return uint64(lfSlot(seed, lfLen-lfTap-k) + lfSlot(seed, lfLen-k))
+	}
+	s.materialize()
+	return s.reg.next()
+}
+
+// materialize builds the register for the current seed and replays the
+// draws already served lazily, leaving it where the lazy path stopped.
+func (s *lfSource) materialize() {
+	if s.reg == nil {
+		s.reg = &lfRegister{}
+	}
+	s.reg.fill(s.seed)
+	for k := 0; k < s.lazy; k++ {
+		s.reg.next()
+	}
+	s.full = true
 }
 
 func (s *lfSource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
-// newSource returns the fast source when the init-time recovery and
-// self-check succeeded, else the stock math/rand source.
-func newSource(seed int64) rand.Source {
-	if lfFastOK {
-		return newLFSource(seed)
-	}
-	return rand.NewSource(seed)
-}
-
 func init() {
-	// A^(warmup + 3·base) mod M for each chain base, by iterated
-	// modular multiplication (a few thousand multiplies, once).
+	// A^(warmup + 3·i) mod M for every slot, by iterated modular
+	// multiplication (about 630 multiplies, once).
 	p := uint64(1)
-	step := 0
-	for k := 0; k < 4; k++ {
-		for ; step < lfWarmup+3*lfChainBase[k]; step++ {
-			p = lfModmul(p, lfSeedA)
-		}
-		lfJump[k] = p
+	for step := 0; step < lfWarmup; step++ {
+		p = lfModmul(p, lfSeedA)
+	}
+	a3 := lfModmul(lfModmul(lfSeedA, lfSeedA), lfSeedA)
+	for i := range lfSlotJump {
+		lfSlotJump[i] = p
+		p = lfModmul(p, a3)
 	}
 	if !lfRecoverCooked() {
 		return
 	}
-	// Replay a spread of seeds against math/rand; any disagreement
-	// (algorithm drift in a future stdlib) keeps the fallback.
+	// Replay a spread of seeds against math/rand, past both the lazy
+	// prefix and one full register cycle; any disagreement (algorithm
+	// drift in a future stdlib) keeps the fallback.
 	for _, seed := range []int64{0, 1, -7, 42, lfMax, 1 << 40, -(1 << 52)} {
 		want := rand.New(rand.NewSource(seed))
 		got := rand.New(newLFSource(seed))
